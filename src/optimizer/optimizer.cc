@@ -329,14 +329,8 @@ double Optimizer::MaintenanceCost(
     // A value update touches the index only if the index can contain the
     // updated nodes: some data path is matched by both the index pattern
     // and the update target.
-    const xpath::Path& target = statement.update_spec().target;
-    double affected_nodes = 0;
-    for (const auto& [path_string, path_stats] : data.paths()) {
-      if (xpath::MatchesLabelPath(index_pattern.path, path_stats.labels) &&
-          xpath::MatchesLabelPath(target, path_stats.labels)) {
-        affected_nodes += static_cast<double>(path_stats.count);
-      }
-    }
+    const double affected_nodes = data.EstimateCommonPathCardinality(
+        index_pattern.path, statement.update_spec().target);
     if (affected_nodes == 0) return 0.0;
     auto normalized = engine::NormalizeUpdateMatch(statement);
     const double docs_touched =

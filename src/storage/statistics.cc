@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <mutex>
 #include <unordered_set>
 
 #include "util/random.h"
@@ -85,6 +87,10 @@ void CollectionStatistics::Collect(const Collection& collection,
                                    const CollectOptions& options) {
   const size_t distinct_cap = options.distinct_cap;
   Random sampler(options.seed);
+  {
+    std::unique_lock lock(memo_.mu);
+    memo_.entries.clear();
+  }
   paths_.clear();
   document_count_ = collection.live_count();
   node_count_ = collection.total_nodes();
@@ -191,8 +197,62 @@ void CollectionStatistics::Collect(const Collection& collection,
   }
 }
 
-IndexStats CollectionStatistics::DeriveIndexStats(
-    const xpath::IndexPattern& pattern, const CostConstants& cc) const {
+size_t CollectionStatistics::PathHash::operator()(
+    const xpath::Path& p) const {
+  size_t h = p.size();
+  for (const xpath::Step& step : p.steps()) {
+    const size_t x = std::hash<std::string>{}(step.name_test) * 2 +
+                     static_cast<size_t>(step.axis);
+    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+CollectionStatistics::MatchList CollectionStatistics::ScanMatches(
+    const xpath::Path& pattern) const {
+  MatchList out;
+  uint32_t ordinal = 0;
+  for (const auto& [path_string, stats] : paths_) {
+    if (xpath::MatchesLabelPath(pattern, stats.labels)) {
+      out.push_back({ordinal, &stats});
+    }
+    ++ordinal;
+  }
+  return out;
+}
+
+CollectionStatistics::MemoEntry& CollectionStatistics::Lookup(
+    const xpath::Path& pattern, MemoEntry* overflow) const {
+  {
+    std::shared_lock lock(memo_.mu);
+    auto it = memo_.entries.find(pattern);
+    if (it != memo_.entries.end()) return it->second;
+  }
+  // Scan outside the lock: paths_ changes only in Collect, which never
+  // runs beside these const calls, and two threads racing on one pattern
+  // compute the same list.
+  MatchList matches = ScanMatches(pattern);
+  std::unique_lock lock(memo_.mu);
+  auto it = memo_.entries.find(pattern);
+  if (it == memo_.entries.end()) {
+    if (memo_.entries.size() >= kMemoCapacity) {
+      overflow->matches = std::move(matches);
+      return *overflow;
+    }
+    it = memo_.entries.emplace(pattern, MemoEntry{std::move(matches), {}})
+             .first;
+  }
+  return it->second;
+}
+
+namespace {
+
+// The part of DeriveIndexStats that does not depend on the cost constants:
+// sums `matches` (in paths() order) into entry and distinct-key counts, key
+// length, value ranges and the merged histogram.
+template <typename Matches>
+IndexStats FoldMatches(const Matches& matches,
+                       const xpath::IndexPattern& pattern) {
   IndexStats out;
   out.entry_count = 0;
   out.distinct_keys = 0;
@@ -208,8 +268,8 @@ IndexStats CollectionStatistics::DeriveIndexStats(
   std::vector<std::pair<double, double>> histogram_pool;
   size_t histogram_buckets = 0;
 
-  for (const auto& [path_string, stats] : paths_) {
-    if (!xpath::MatchesLabelPath(pattern.path, stats.labels)) continue;
+  for (const auto& match : matches) {
+    const PathStats& stats = *match.stats;
     const std::string& last_label =
         stats.labels.empty() ? std::string() : stats.labels.back();
     uint64_t entries = 0;
@@ -270,29 +330,82 @@ IndexStats CollectionStatistics::DeriveIndexStats(
       out.entry_count == 0
           ? 8.0
           : key_length_weighted / static_cast<double>(out.entry_count);
+  return out;
+}
+
+// Size, leaf pages and levels of a folded index under `cc`.
+void ApplyCostConstants(const CostConstants& cc, IndexStats* out) {
   const double entry_bytes =
-      out.avg_key_length + static_cast<double>(cc.index_entry_overhead);
-  out.size_bytes = static_cast<uint64_t>(
-      std::ceil(entry_bytes * static_cast<double>(out.entry_count)));
-  out.leaf_pages = std::max<uint64_t>(
-      1, out.size_bytes / cc.page_size +
-             (out.size_bytes % cc.page_size != 0 ? 1 : 0));
+      out->avg_key_length + static_cast<double>(cc.index_entry_overhead);
+  out->size_bytes = static_cast<uint64_t>(
+      std::ceil(entry_bytes * static_cast<double>(out->entry_count)));
+  out->leaf_pages = std::max<uint64_t>(
+      1, out->size_bytes / cc.page_size +
+             (out->size_bytes % cc.page_size != 0 ? 1 : 0));
   // Height: levels above the leaves shrink by the assumed fanout.
-  out.levels = 1;
-  uint64_t pages = out.leaf_pages;
+  out->levels = 1;
+  uint64_t pages = out->leaf_pages;
   while (pages > 1) {
     pages = (pages + cc.assumed_fanout - 1) / cc.assumed_fanout;
-    ++out.levels;
+    ++out->levels;
   }
+}
+
+}  // namespace
+
+IndexStats CollectionStatistics::DeriveIndexStats(
+    const xpath::IndexPattern& pattern, const CostConstants& cc) const {
+  // Structural patterns ignore the value type, like IndexPattern::==.
+  const size_t kind =
+      pattern.structural ? 2
+                         : (pattern.type == xpath::ValueType::kNumeric ? 1 : 0);
+  IndexStats out;
+  bool folded = false;
+  {
+    std::shared_lock lock(memo_.mu);
+    auto it = memo_.entries.find(pattern.path);
+    if (it != memo_.entries.end() && it->second.folds[kind]) {
+      out = *it->second.folds[kind];
+      folded = true;
+    }
+  }
+  if (!folded) {
+    MemoEntry overflow;
+    MemoEntry& entry = Lookup(pattern.path, &overflow);
+    out = FoldMatches(entry.matches, pattern);
+    if (&entry != &overflow) {
+      std::unique_lock lock(memo_.mu);
+      if (!entry.folds[kind]) entry.folds[kind] = out;
+    }
+  }
+  ApplyCostConstants(cc, &out);
   return out;
 }
 
 double CollectionStatistics::EstimatePathCardinality(
     const xpath::Path& pattern) const {
+  MemoEntry overflow;
   double total = 0.0;
-  for (const auto& [path_string, stats] : paths_) {
-    if (xpath::MatchesLabelPath(pattern, stats.labels)) {
-      total += static_cast<double>(stats.count);
+  for (const PathMatch& m : Lookup(pattern, &overflow).matches) {
+    total += static_cast<double>(m.stats->count);
+  }
+  return total;
+}
+
+double CollectionStatistics::EstimateCommonPathCardinality(
+    const xpath::Path& a, const xpath::Path& b) const {
+  MemoEntry overflow_a;
+  MemoEntry overflow_b;
+  const MatchList& in_a = Lookup(a, &overflow_a).matches;
+  const MatchList& in_b = Lookup(b, &overflow_b).matches;
+  // Both lists are in paths() order: merge on the ordinal.
+  double total = 0.0;
+  size_t j = 0;
+  for (const PathMatch& m : in_a) {
+    while (j < in_b.size() && in_b[j].ordinal < m.ordinal) ++j;
+    if (j == in_b.size()) break;
+    if (in_b[j].ordinal == m.ordinal) {
+      total += static_cast<double>(m.stats->count);
     }
   }
   return total;

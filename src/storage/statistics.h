@@ -11,9 +11,13 @@
 #ifndef XIA_STORAGE_STATISTICS_H_
 #define XIA_STORAGE_STATISTICS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/cost_constants.h"
@@ -74,6 +78,8 @@ struct IndexStats {
   std::string max_string;
   /// Equi-depth histogram over numeric keys (see PathStats).
   std::vector<double> numeric_quantiles;
+
+  bool operator==(const IndexStats&) const = default;
 };
 
 /// Computes equi-depth quantile boundaries (buckets+1 values) from a
@@ -86,6 +92,13 @@ std::vector<double> WeightedQuantiles(
 double HistogramCdf(const std::vector<double>& quantiles, double v);
 
 /// Per-collection data statistics.
+///
+/// The query-facing calls (DeriveIndexStats, EstimatePathCardinality,
+/// EstimateCommonPathCardinality) are const and safe to call from many
+/// threads at once. They share a memo of which recorded paths each linear
+/// pattern matches, so repeated what-if calls on the same pattern do not
+/// rescan every path. Collect drops the memo; a copy starts with an empty
+/// one.
 class CollectionStatistics {
  public:
   CollectionStatistics() = default;
@@ -136,11 +149,60 @@ class CollectionStatistics {
   /// `pattern`, regardless of value type.
   double EstimatePathCardinality(const xpath::Path& pattern) const;
 
+  /// Nodes (per whole collection) on the recorded paths that both `a` and
+  /// `b` match, e.g. the nodes an update target shares with an index.
+  double EstimateCommonPathCardinality(const xpath::Path& a,
+                                       const xpath::Path& b) const;
+
+  /// Most patterns the memo holds per collection. Patterns beyond it are
+  /// answered by a scan, so ad-hoc client paths cannot grow it unbounded.
+  static constexpr size_t kMemoCapacity = 4096;
+
  private:
+  // A recorded path a pattern matches: its position in paths() order (two
+  // match lists intersect by a merge on it) and its statistics.
+  struct PathMatch {
+    uint32_t ordinal;
+    const PathStats* stats;
+  };
+  using MatchList = std::vector<PathMatch>;
+
+  struct PathHash {
+    size_t operator()(const xpath::Path& p) const;
+  };
+
+  // Memoized answers for one pattern. `matches` never changes once the
+  // entry is in the memo, so it is read without the lock. `folds` holds the
+  // cost-constant-free part of DeriveIndexStats per index kind (string,
+  // numeric, structural); each slot is set once, under the lock.
+  struct MemoEntry {
+    MatchList matches;
+    std::array<std::optional<IndexStats>, 3> folds;
+  };
+
+  // The memo proper. Its entries point into paths_, so copying or moving
+  // the owner yields an empty memo rather than pointers into another map.
+  struct Memo {
+    Memo() = default;
+    Memo(const Memo&) {}
+    Memo& operator=(const Memo&) {
+      entries.clear();
+      return *this;
+    }
+    std::shared_mutex mu;
+    std::unordered_map<xpath::Path, MemoEntry, PathHash> entries;
+  };
+
+  // The memo entry for `pattern`, added on first use. When the memo is
+  // full, the matches are computed into `*overflow` and it is returned.
+  MemoEntry& Lookup(const xpath::Path& pattern, MemoEntry* overflow) const;
+  MatchList ScanMatches(const xpath::Path& pattern) const;
+
   uint64_t document_count_ = 0;
   uint64_t node_count_ = 0;
   uint64_t data_pages_ = 0;
   std::map<std::string, PathStats> paths_;
+  mutable Memo memo_;
 };
 
 /// Statistics for every collection in a store.

@@ -1,7 +1,6 @@
 #include "xpath/containment.h"
 
 #include <algorithm>
-#include <set>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -52,24 +51,30 @@ std::vector<std::string_view> PatternAlphabet(const Path& p) {
   return labels;
 }
 
-// Expands `family` (a set of DFA states) with everything reachable through
-// one arbitrary symbol, repeated to a fixpoint. Models a descendant gap in
-// the query: any number (>= 0) of arbitrary intermediate labels.
+// A family of DFA states. Families stay small (a handful of members), so a
+// flat vector with linear membership tests beats a node-based set; the
+// Covers answer does not depend on member order.
+using Family = std::vector<StateSet>;
+
+void AddState(Family* family, StateSet s) {
+  if (std::find(family->begin(), family->end(), s) == family->end()) {
+    family->push_back(s);
+  }
+}
+
+// Expands `family` with everything reachable through one arbitrary symbol,
+// repeated to a fixpoint. Models a descendant gap in the query: any number
+// (>= 0) of arbitrary intermediate labels. Members appended during the
+// sweep are themselves expanded when the sweep reaches them.
 void CloseUnderArbitrarySymbols(const Path& p,
                                 const std::vector<std::string_view>& alphabet,
-                                std::set<StateSet>* family) {
-  std::vector<StateSet> frontier(family->begin(), family->end());
-  while (!frontier.empty()) {
-    const StateSet s = frontier.back();
-    frontier.pop_back();
-    std::vector<StateSet> successors;
+                                Family* family) {
+  for (size_t k = 0; k < family->size(); ++k) {
+    const StateSet s = (*family)[k];
     for (const auto& label : alphabet) {
-      successors.push_back(StepOn(p, s, label, /*fresh=*/false));
+      AddState(family, StepOn(p, s, label, /*fresh=*/false));
     }
-    successors.push_back(StepOn(p, s, "", /*fresh=*/true));
-    for (StateSet t : successors) {
-      if (family->insert(t).second) frontier.push_back(t);
-    }
+    AddState(family, StepOn(p, s, "", /*fresh=*/true));
   }
 }
 
@@ -94,28 +99,29 @@ bool Covers(const Path& index, const Path& query) {
   // Family of DFA states reachable via some prefix generated by the steps of
   // `query` consumed so far. Containment holds iff every family member at
   // the end is accepting.
-  std::set<StateSet> family = {StateSet{1}};
+  Family family = {StateSet{1}};
+  Family next_family;
 
   for (const auto& qs : query.steps()) {
     if (qs.axis == Axis::kDescendant) {
       // The gap can emit any number of arbitrary labels first.
       CloseUnderArbitrarySymbols(index, alphabet, &family);
     }
-    std::set<StateSet> next_family;
+    next_family.clear();
     for (StateSet s : family) {
       if (qs.is_wildcard()) {
         // The query step emits any single label: branch over the alphabet
         // plus a fresh symbol.
         for (const auto& label : alphabet) {
-          next_family.insert(StepOn(index, s, label, /*fresh=*/false));
+          AddState(&next_family, StepOn(index, s, label, /*fresh=*/false));
         }
-        next_family.insert(StepOn(index, s, "", /*fresh=*/true));
+        AddState(&next_family, StepOn(index, s, "", /*fresh=*/true));
       } else {
-        next_family.insert(
-            StepOn(index, s, qs.name_test, /*fresh=*/false));
+        AddState(&next_family,
+                 StepOn(index, s, qs.name_test, /*fresh=*/false));
       }
     }
-    family = std::move(next_family);
+    family.swap(next_family);
   }
 
   for (StateSet s : family) {

@@ -18,6 +18,7 @@
 #include "advisor/candidates.h"
 #include "engine/query_parser.h"
 #include "storage/catalog.h"
+#include "storage/statistics.h"
 #include "tpox/tpox_data.h"
 #include "util/thread_pool.h"
 
@@ -200,6 +201,70 @@ TEST_F(ParallelAdvisorTest, ConfigurationIdsAreCanonicalized) {
   }
   EXPECT_EQ(evaluator.cache_misses(), misses_after_first);
   EXPECT_EQ(evaluator.optimizer_calls(), calls_after_first);
+}
+
+// The statistics memo under contention: eight threads fill the memo of a
+// fresh CollectionStatistics at once, racing on the same patterns, and
+// every answer equals the serial one (run under TSAN in xia_tsan_build).
+TEST_F(ParallelAdvisorTest, StatisticsMemoFillsRaceFree) {
+  auto set = advisor_->BuildCandidates(workload_, /*generalize=*/true);
+  ASSERT_TRUE(set.ok()) << set.status();
+  auto coll = store_.GetCollection("SDOC");
+  ASSERT_TRUE(coll.ok());
+  std::vector<xpath::IndexPattern> patterns;
+  for (const Candidate& c : set->candidates) {
+    if (c.collection != "SDOC") continue;
+    for (const xpath::IndexPattern& p :
+         {xpath::IndexPattern{c.pattern.path, xpath::ValueType::kString},
+          xpath::IndexPattern{c.pattern.path, xpath::ValueType::kNumeric},
+          xpath::IndexPattern{c.pattern.path, xpath::ValueType::kString,
+                              /*structural=*/true}}) {
+      patterns.push_back(p);
+    }
+  }
+  ASSERT_GE(patterns.size(), 6u);
+  const storage::CostConstants& cc = storage::DefaultCostConstants();
+
+  storage::CollectionStatistics serial;
+  serial.Collect(**coll);
+  std::vector<storage::IndexStats> want_stats;
+  std::vector<double> want_cardinality;
+  for (const xpath::IndexPattern& p : patterns) {
+    want_stats.push_back(serial.DeriveIndexStats(p, cc));
+    want_cardinality.push_back(serial.EstimatePathCardinality(p.path));
+  }
+
+  storage::CollectionStatistics shared;
+  shared.Collect(**coll);
+  constexpr int kThreads = 8;
+  std::vector<std::vector<storage::IndexStats>> got_stats(kThreads);
+  std::vector<std::vector<double>> got_cardinality(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Half the threads walk the patterns backwards, so fills collide
+      // from both ends as well as head-on.
+      const bool reverse = t % 2 == 1;
+      got_stats[t].resize(patterns.size());
+      got_cardinality[t].resize(patterns.size());
+      for (size_t k = 0; k < patterns.size(); ++k) {
+        const size_t i = reverse ? patterns.size() - 1 - k : k;
+        got_cardinality[t][i] =
+            shared.EstimatePathCardinality(patterns[i].path);
+        got_stats[t][i] = shared.DeriveIndexStats(patterns[i], cc);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      EXPECT_TRUE(got_stats[t][i] == want_stats[i])
+          << "thread " << t << " " << patterns[i].ToString();
+      EXPECT_EQ(got_cardinality[t][i], want_cardinality[i])
+          << "thread " << t << " " << patterns[i].ToString();
+    }
+  }
 }
 
 // The sharded cache's in-flight dedup under contention: every key is

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "advisor/advisor.h"
+#include "engine/normalizer.h"
+#include "optimizer/plan.h"
 #include "storage/catalog.h"
 #include "storage/document_store.h"
 #include "storage/index.h"
 #include "storage/statistics.h"
+#include "tpox/tpox_data.h"
+#include "tpox/tpox_workload.h"
 #include "xml/parser.h"
+#include "xpath/containment.h"
 #include "xpath/parser.h"
 
 namespace xia::storage {
@@ -467,6 +476,287 @@ TEST_F(BulkBuildFixture, BulkIngestorEmptyCollection) {
   ingestor.Finish();
   EXPECT_EQ(index->entry_count(), 0u);
   EXPECT_EQ(coll->live_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The statistics memo: memoized answers must equal a scan of every recorded
+// path, and Collect must drop them.
+
+// The virtual-index derivation as a full scan: every recorded path is
+// tested with MatchesLabelPath, then folded in paths() order.
+IndexStats BruteForceDeriveIndexStats(const CollectionStatistics& data,
+                                      const xpath::IndexPattern& pattern,
+                                      const CostConstants& cc) {
+  IndexStats out;
+  double key_length_weighted = 0.0;
+  bool any = false;
+  std::map<std::string, uint64_t> distinct_by_last_label;
+  std::vector<std::pair<double, double>> histogram_pool;
+  size_t histogram_buckets = 0;
+  for (const auto& [path_string, stats] : data.paths()) {
+    if (!xpath::MatchesLabelPath(pattern.path, stats.labels)) continue;
+    const std::string last_label =
+        stats.labels.empty() ? std::string() : stats.labels.back();
+    uint64_t entries = 0;
+    if (pattern.structural) {
+      entries = stats.count;
+      distinct_by_last_label[last_label] += stats.count;
+    } else if (pattern.type == xpath::ValueType::kNumeric) {
+      entries = stats.numeric_count;
+      uint64_t& group = distinct_by_last_label[last_label];
+      group = std::max(group, stats.distinct_numeric);
+      key_length_weighted += 8.0 * static_cast<double>(entries);
+      if (!stats.numeric_quantiles.empty() && entries > 0) {
+        const double weight =
+            static_cast<double>(entries) /
+            static_cast<double>(stats.numeric_quantiles.size());
+        for (double q : stats.numeric_quantiles) {
+          histogram_pool.emplace_back(q, weight);
+        }
+        histogram_buckets = std::max(histogram_buckets,
+                                     stats.numeric_quantiles.size() - 1);
+      }
+      if (entries > 0) {
+        if (!any || stats.min_numeric < out.min_numeric) {
+          out.min_numeric = stats.min_numeric;
+        }
+        if (!any || stats.max_numeric > out.max_numeric) {
+          out.max_numeric = stats.max_numeric;
+        }
+      }
+    } else {
+      entries = stats.valued_count;
+      uint64_t& group = distinct_by_last_label[last_label];
+      group = std::max(group, stats.distinct_values);
+      key_length_weighted +=
+          stats.avg_value_length * static_cast<double>(entries);
+      if (entries > 0) {
+        if (!any || stats.min_string < out.min_string) {
+          out.min_string = stats.min_string;
+        }
+        if (!any || stats.max_string > out.max_string) {
+          out.max_string = stats.max_string;
+        }
+      }
+    }
+    if (entries > 0) any = true;
+    out.entry_count += entries;
+  }
+  for (const auto& [label, distinct] : distinct_by_last_label) {
+    out.distinct_keys += distinct;
+  }
+  if (!histogram_pool.empty()) {
+    out.numeric_quantiles =
+        WeightedQuantiles(std::move(histogram_pool), histogram_buckets);
+  }
+  out.avg_key_length =
+      out.entry_count == 0
+          ? 8.0
+          : key_length_weighted / static_cast<double>(out.entry_count);
+  const double entry_bytes =
+      out.avg_key_length + static_cast<double>(cc.index_entry_overhead);
+  out.size_bytes = static_cast<uint64_t>(
+      std::ceil(entry_bytes * static_cast<double>(out.entry_count)));
+  out.leaf_pages = std::max<uint64_t>(
+      1, out.size_bytes / cc.page_size +
+             (out.size_bytes % cc.page_size != 0 ? 1 : 0));
+  out.levels = 1;
+  uint64_t pages = out.leaf_pages;
+  while (pages > 1) {
+    pages = (pages + cc.assumed_fanout - 1) / cc.assumed_fanout;
+    ++out.levels;
+  }
+  return out;
+}
+
+double BruteForceCardinality(const CollectionStatistics& data,
+                             const xpath::Path& a,
+                             const xpath::Path* b = nullptr) {
+  double total = 0.0;
+  for (const auto& [path_string, stats] : data.paths()) {
+    if (xpath::MatchesLabelPath(a, stats.labels) &&
+        (b == nullptr || xpath::MatchesLabelPath(*b, stats.labels))) {
+      total += static_cast<double>(stats.count);
+    }
+  }
+  return total;
+}
+
+// Every field, the quantiles and strings included, compared exactly.
+void ExpectSameIndexStats(const IndexStats& got, const IndexStats& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.entry_count, want.entry_count) << what;
+  EXPECT_EQ(got.distinct_keys, want.distinct_keys) << what;
+  EXPECT_EQ(got.size_bytes, want.size_bytes) << what;
+  EXPECT_EQ(got.leaf_pages, want.leaf_pages) << what;
+  EXPECT_EQ(got.levels, want.levels) << what;
+  EXPECT_EQ(got.avg_key_length, want.avg_key_length) << what;
+  EXPECT_EQ(got.min_numeric, want.min_numeric) << what;
+  EXPECT_EQ(got.max_numeric, want.max_numeric) << what;
+  EXPECT_EQ(got.min_string, want.min_string) << what;
+  EXPECT_EQ(got.max_string, want.max_string) << what;
+  EXPECT_EQ(got.numeric_quantiles, want.numeric_quantiles) << what;
+  EXPECT_TRUE(got == want) << what;
+}
+
+class StatisticsMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tpox::TpoxScale scale;
+    scale.security_docs = 60;
+    scale.order_docs = 60;
+    scale.custacc_docs = 30;
+    ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store_, &catalog_).ok());
+
+    // Every predicate pattern (and spine) of every TPoX query, in each of
+    // the three index kinds.
+    auto queries = tpox::TpoxQueries();
+    ASSERT_TRUE(queries.ok()) << queries.status();
+    for (const engine::Statement& statement : *queries) {
+      auto normalized = engine::Normalize(statement);
+      ASSERT_TRUE(normalized.ok()) << normalized.status();
+      AddPattern(normalized->collection, normalized->path.Spine());
+      for (const optimizer::IndexablePredicate& pred :
+           optimizer::ExtractIndexablePredicates(*normalized)) {
+        AddPattern(normalized->collection, pred.pattern);
+      }
+    }
+    // Every candidate, basic and generalized, of the TPoX candidate set.
+    advisor::IndexAdvisor advisor(&store_, &catalog_);
+    auto set = advisor.BuildCandidates(*queries, /*generalize=*/true);
+    ASSERT_TRUE(set.ok()) << set.status();
+    ASSERT_GT(set->size(), set->basic_count);
+    for (const advisor::Candidate& c : set->candidates) {
+      AddPattern(c.collection, c.pattern.path);
+    }
+  }
+
+  void AddPattern(const std::string& collection, const xpath::Path& path) {
+    auto& list = patterns_[collection];
+    if (std::find(list.begin(), list.end(), path) == list.end()) {
+      list.push_back(path);
+    }
+  }
+
+  // Checks every pattern of `collection` against the brute-force scan,
+  // twice (a fresh memo, then a warm one) and under two sets of cost
+  // constants, since only the memo's fold is shared across constants.
+  void ExpectParity(const std::string& collection,
+                    const CollectionStatistics& data) {
+    CostConstants small_pages = DefaultCostConstants();
+    small_pages.page_size = 512;
+    small_pages.assumed_fanout = 4;
+    const auto& list = patterns_.at(collection);
+    for (int round = 0; round < 2; ++round) {
+      for (const xpath::Path& path : list) {
+        const std::string what = collection + " " + path.ToString();
+        EXPECT_EQ(data.EstimatePathCardinality(path),
+                  BruteForceCardinality(data, path))
+            << what;
+        for (const xpath::IndexPattern& pattern :
+             {xpath::IndexPattern{path, xpath::ValueType::kString},
+              xpath::IndexPattern{path, xpath::ValueType::kNumeric},
+              xpath::IndexPattern{path, xpath::ValueType::kString, true}}) {
+          for (const CostConstants* cc :
+               {&DefaultCostConstants(),
+                static_cast<const CostConstants*>(&small_pages)}) {
+            ExpectSameIndexStats(data.DeriveIndexStats(pattern, *cc),
+                                 BruteForceDeriveIndexStats(data, pattern, *cc),
+                                 what + " " + pattern.ToString());
+          }
+        }
+        for (const xpath::Path& other : list) {
+          EXPECT_EQ(data.EstimateCommonPathCardinality(path, other),
+                    BruteForceCardinality(data, path, &other))
+              << what << " & " << other.ToString();
+        }
+      }
+    }
+  }
+
+  DocumentStore store_;
+  StatisticsCatalog catalog_;
+  std::map<std::string, std::vector<xpath::Path>> patterns_;
+};
+
+TEST_F(StatisticsMemoTest, MemoizedAnswersEqualFullScan) {
+  ASSERT_EQ(patterns_.size(), 3u);
+  for (const auto& [collection, list] : patterns_) {
+    ASSERT_FALSE(list.empty());
+    auto data = catalog_.Get(collection);
+    ASSERT_TRUE(data.ok());
+    ExpectParity(collection, **data);
+  }
+}
+
+TEST_F(StatisticsMemoTest, PatternsBeyondTheCapStillAnswerExactly) {
+  auto coll = store_.GetCollection(tpox::kSecurityCollection);
+  ASSERT_TRUE(coll.ok());
+  CollectionStatistics data;
+  data.Collect(**coll);
+  // Fill the memo with patterns that match nothing, then check the real
+  // ones, which now overflow it.
+  for (size_t i = 0; i < CollectionStatistics::kMemoCapacity; ++i) {
+    EXPECT_EQ(data.EstimatePathCardinality(*xpath::ParsePattern(
+                  "/Security/Absent" + std::to_string(i))),
+              0.0);
+  }
+  ExpectParity(tpox::kSecurityCollection, data);
+}
+
+TEST_F(StatisticsMemoTest, CollectDropsTheMemo) {
+  auto coll = store_.GetCollection(tpox::kSecurityCollection);
+  ASSERT_TRUE(coll.ok());
+  CollectionStatistics data;
+  data.Collect(**coll);
+  const xpath::IndexPattern fresh_label = Pattern("/Security/Extra/Note");
+  const xpath::IndexPattern all_text = Pattern("//*");
+  const CostConstants& cc = DefaultCostConstants();
+  // Warm the memo.
+  const double before_all = data.EstimatePathCardinality(all_text.path);
+  const IndexStats before_stats = data.DeriveIndexStats(all_text, cc);
+  EXPECT_EQ(data.EstimatePathCardinality(fresh_label.path), 0.0);
+  EXPECT_EQ(data.DeriveIndexStats(fresh_label, cc).entry_count, 0u);
+  ExpectParity(tpox::kSecurityCollection, data);
+
+  // A document with a label path the collection has not seen.
+  (*coll)->Add(Doc(
+      "<Security><Symbol>NEWSYM</Symbol><Extra><Note>zzz</Note></Extra>"
+      "</Security>"));
+  data.Collect(**coll);
+
+  EXPECT_EQ(data.EstimatePathCardinality(fresh_label.path), 1.0);
+  EXPECT_EQ(data.DeriveIndexStats(fresh_label, cc).entry_count, 1u);
+  EXPECT_EQ(data.DeriveIndexStats(fresh_label, cc).max_string, "zzz");
+  EXPECT_GT(data.EstimatePathCardinality(all_text.path), before_all);
+  const IndexStats after_stats = data.DeriveIndexStats(all_text, cc);
+  EXPECT_GT(after_stats.entry_count, before_stats.entry_count);
+  EXPECT_FALSE(after_stats == before_stats);
+  EXPECT_EQ(data.EstimateCommonPathCardinality(fresh_label.path,
+                                               all_text.path),
+            1.0);
+  ExpectSameIndexStats(after_stats,
+                       BruteForceDeriveIndexStats(data, all_text, cc),
+                       "//* after re-Collect");
+  ExpectParity(tpox::kSecurityCollection, data);
+}
+
+TEST_F(StatisticsMemoTest, CopiesAnswerFromTheirOwnPaths) {
+  auto coll = store_.GetCollection(tpox::kSecurityCollection);
+  ASSERT_TRUE(coll.ok());
+  CollectionStatistics data;
+  data.Collect(**coll);
+  const xpath::Path all = *xpath::ParsePattern("//*");
+  const double warm = data.EstimatePathCardinality(all);
+  CollectionStatistics copy = data;
+  // Re-collecting the original frees the paths its memo pointed into; the
+  // copy must not answer from them.
+  (*coll)->Add(Doc("<Security><Symbol>COPYSYM</Symbol></Security>"));
+  data.Collect(**coll);
+  EXPECT_EQ(copy.EstimatePathCardinality(all), warm);
+  EXPECT_EQ(copy.EstimatePathCardinality(all),
+            BruteForceCardinality(copy, all));
+  EXPECT_GT(data.EstimatePathCardinality(all), warm);
 }
 
 }  // namespace
